@@ -1,86 +1,88 @@
 //! The checked-in rule configuration: the global lock hierarchy (G1) and
 //! the per-rule path scopes and exemptions.
 //!
-//! **This file is the machine-readable twin of the canonical
-//! lock-hierarchy document in `crates/av-service/src/lockorder.rs`.** The
-//! two must agree: the doc explains *why* the order is what it is (the
-//! WAL fence is the crash-safety argument), this table is what the G1
-//! pass and its fixtures execute against. Change them together.
+//! The lock hierarchy is not restated here: it is parsed from the rank
+//! `const`s of `crates/av-service/src/lockorder.rs`, the one declaration
+//! its runtime tracker also uses (that module's docs explain *why* the
+//! order is what it is).
+
+use crate::lexer::{lex, Kind};
+use std::sync::OnceLock;
+
+/// The lock-hierarchy source, compiled in so the table cannot drift from
+/// the file that declares it.
+const LOCKORDER_SRC: &str = include_str!("../../av-service/src/lockorder.rs");
 
 /// One lock in the global hierarchy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockEntry {
     /// The field/binding name the lock is acquired through (`.lock()`,
-    /// `.read()`, `.write()` receivers are matched by exact identifier).
-    pub name: &'static str,
+    /// `.read()`, `.write()` receivers are matched by exact identifier):
+    /// the rank `const`'s name, lower-cased.
+    pub name: String,
     /// Rank: acquisitions must be strictly ascending in rank within a
     /// function (gaps left for future locks).
     pub rank: u32,
     /// Same-rank re-acquisition allowed: a family of per-shard locks
     /// taken in ascending index order counts as one rank.
     pub multi: bool,
-    /// Where the lock lives and what it protects.
-    pub doc: &'static str,
 }
 
-/// The global lock hierarchy, outermost first. Mirrors the canonical doc
-/// in `crates/av-service/src/lockorder.rs` (which carries the full
-/// rationale); the ranks here gap by 10 so future locks can slot in
-/// without renumbering.
-pub const LOCK_HIERARCHY: &[LockEntry] = &[
-    LockEntry {
-        name: "ckpt",
-        rank: 10,
-        multi: false,
-        doc: "av-service DurableState.ckpt — serializes checkpoints; taken before the WAL fence",
-    },
-    LockEntry {
-        name: "wal",
-        rank: 20,
-        multi: false,
-        doc: "av-service DurableState.wal — the WAL fence; outermost lock of every durable mutating path",
-    },
-    LockEntry {
-        name: "in_flight",
-        rank: 30,
-        multi: false,
-        doc: "av-service DurableState.in_flight — logged-but-unmerged LSNs, drained under the WAL fence",
-    },
-    LockEntry {
-        name: "merge_locks",
-        rank: 40,
-        multi: true,
-        doc: "av-index ShardedIndex.merge_locks — per-shard merge mutexes, taken in ascending shard order",
-    },
-    LockEntry {
-        name: "epoch",
-        rank: 50,
-        multi: false,
-        doc: "av-index ShardedIndex.epoch — the published index epoch; swapped while merge locks are held",
-    },
-    LockEntry {
-        name: "baselines",
-        rank: 60,
-        multi: false,
-        doc: "av-service ValidationService.baselines — session-scoped baseline rules",
-    },
-    LockEntry {
-        name: "catalog",
-        rank: 70,
-        multi: false,
-        doc: "av-service ValidationService.catalog — the persistent rule catalog",
-    },
-    LockEntry {
-        name: "classifier",
-        rank: 80,
-        multi: false,
-        doc: "av-service ValidationService.classifier — the catalog automaton; always innermost",
-    },
-];
+/// The global lock hierarchy, outermost first.
+pub fn lock_hierarchy() -> &'static [LockEntry] {
+    static TABLE: OnceLock<Vec<LockEntry>> = OnceLock::new();
+    TABLE.get_or_init(|| parse_hierarchy(LOCKORDER_SRC))
+}
 
 /// Look up a tracked lock by receiver identifier.
 pub fn lock_by_name(name: &str) -> Option<&'static LockEntry> {
-    LOCK_HIERARCHY.iter().find(|e| e.name == name)
+    lock_hierarchy().iter().find(|e| e.name == name)
+}
+
+/// Build the hierarchy from `const NAME: u32 = RANK;` items, marking the
+/// ranks listed in `const MULTI_FAMILIES: &[u32] = &[NAME, …];` as multi.
+/// Sorted by rank.
+fn parse_hierarchy(src: &str) -> Vec<LockEntry> {
+    let toks = lex(src).tokens;
+    let mut table = Vec::new();
+    let mut multi = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident("const") {
+            continue;
+        }
+        let rest = &toks[i + 1..];
+        match rest {
+            [name, colon, ty, eq, rank, semi, ..]
+                if name.kind == Kind::Ident
+                    && colon.is_punct(':')
+                    && ty.is_ident("u32")
+                    && eq.is_punct('=')
+                    && rank.kind == Kind::Int
+                    && semi.is_punct(';') =>
+            {
+                if let Ok(rank) = rank.text.parse() {
+                    table.push(LockEntry {
+                        name: name.text.to_lowercase(),
+                        rank,
+                        multi: false,
+                    });
+                }
+            }
+            [name, ..] if name.is_ident("MULTI_FAMILIES") => multi.extend(
+                rest.iter()
+                    .skip_while(|t| !t.is_punct('='))
+                    .take_while(|t| !t.is_punct(';'))
+                    .filter(|t| t.kind == Kind::Ident)
+                    .map(|t| t.text.to_lowercase()),
+            ),
+            _ => {}
+        }
+    }
+    for entry in &mut table {
+        entry.multi = multi.contains(&entry.name);
+    }
+    table.sort_by_key(|e| e.rank);
+    table
 }
 
 /// G2: crates whose sources may not touch `std::fs` directly.
@@ -161,16 +163,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hierarchy_ranks_strictly_ascend() {
-        for w in LOCK_HIERARCHY.windows(2) {
+    fn hierarchy_is_parsed_from_lockorder() {
+        let table = lock_hierarchy();
+        let names: Vec<&str> = table.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "ckpt",
+                "wal",
+                "in_flight",
+                "merge_locks",
+                "epoch",
+                "baselines",
+                "catalog",
+                "classifier"
+            ]
+        );
+        for w in table.windows(2) {
             assert!(w[0].rank < w[1].rank, "{} !< {}", w[0].name, w[1].name);
         }
-    }
-
-    #[test]
-    fn lookup_finds_every_entry() {
-        for e in LOCK_HIERARCHY {
-            assert_eq!(lock_by_name(e.name).unwrap().rank, e.rank);
+        let multi: Vec<&str> = table
+            .iter()
+            .filter(|e| e.multi)
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(multi, ["merge_locks"]);
+        for e in table {
+            assert_eq!(lock_by_name(&e.name), Some(e));
         }
         assert!(lock_by_name("not_a_lock").is_none());
     }

@@ -40,8 +40,9 @@ pub enum Kind {
 pub struct Tok {
     /// What kind of token this is.
     pub kind: Kind,
-    /// The token text (empty for literals — rules never inspect literal
-    /// contents, which is the point).
+    /// The token text: identifiers and numbers keep theirs (the lock
+    /// table reads rank numbers); string and char literals and
+    /// punctuation are empty — rules never inspect literal contents.
     pub text: String,
     /// 1-based line of the token's first byte.
     pub line: u32,
@@ -182,7 +183,7 @@ pub fn lex(src: &str) -> LexOut {
                 let (j, kind) = consume_number(b, i);
                 out.tokens.push(Tok {
                     kind,
-                    text: String::new(),
+                    text: src[i..j].to_string(),
                     line,
                 });
                 i = j;

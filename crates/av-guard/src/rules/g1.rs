@@ -1,5 +1,5 @@
 //! **G1 lock-order**: within a function, nested acquisitions of the
-//! tracked locks (see [`crate::config::LOCK_HIERARCHY`]) must be
+//! tracked locks (see [`crate::config::lock_hierarchy`]) must be
 //! strictly ascending in rank. Acquiring a lower-ranked lock while a
 //! higher-ranked one is held is the half of a deadlock this pass can see
 //! statically; the other half is the runtime tracker in

@@ -13,13 +13,10 @@
 //!
 //! Entries are sorted by fingerprint within each shard; because shard
 //! routing uses the fingerprint's *top* bits, the concatenation of the
-//! shard sections is still globally fingerprint-sorted — a 1-shard v4
-//! image is byte-identical to the old single-section v3 body, differing
-//! only in the header. Version 3 images (no `shard_bits` field, one
-//! global entry/string section) still load, landing in a single shard
-//! that callers [reshard](PatternIndex::reshard) as needed.
+//! shard sections is still globally fingerprint-sorted. Earlier versions
+//! are refused: nothing writes them any more.
 //!
-//! Both versions store the **raw fixed-point impurity accumulator**
+//! The image stores the **raw fixed-point impurity accumulator**
 //! (`imp_fp`, scaled by 2³²) instead of the finished `fpr` float, so a
 //! reloaded index remains exactly mergeable with later
 //! [`crate::IndexDelta`]s — the persist → reload → merge path is
@@ -36,11 +33,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"AVIX";
-// v4: sharded directory layout (see module docs). v3 (single-shard) still
-// loads; v2 and earlier predate the CharClass whitespace change — their
-// statistics are not comparable and they are refused.
+// v4: sharded directory layout (see module docs). v3 was its single-shard
+// predecessor; v2 and earlier predate the CharClass whitespace change.
+// All of them are refused.
 const VERSION: u32 = 4;
-const OLD_SINGLE_SHARD_VERSION: u32 = 3;
 
 /// Errors from loading a persisted index.
 #[derive(Debug)]
@@ -208,38 +204,34 @@ impl PatternIndex {
         ))
     }
 
-    /// Deserialize from bytes. Accepts v4 (sharded) and v3 (single-shard;
-    /// the result has one shard — [`PatternIndex::reshard`] spreads it).
+    /// Deserialize an AVIX v4 image.
     pub fn from_bytes(mut buf: &[u8]) -> Result<PatternIndex, PersistError> {
         let err = |m: &str| PersistError::Format(m.to_string());
         if buf.remaining() < 4 || &buf[..4] != MAGIC {
             return Err(err("bad magic"));
         }
         buf.advance(4);
-        if buf.remaining() < 20 {
+        if buf.remaining() < 4 {
             return Err(err("truncated header"));
         }
         let version = buf.get_u32_le();
+        if version != VERSION {
+            return Err(PersistError::Format(format!(
+                "unsupported version {version}"
+            )));
+        }
+        if buf.remaining() < 20 {
+            return Err(err("truncated header"));
+        }
         let num_columns = buf.get_u64_le();
         let tau = buf.get_u64_le() as usize;
-        let (shard_bits, sections) = match version {
-            VERSION => {
-                if buf.remaining() < 4 {
-                    return Err(err("truncated header"));
-                }
-                let bits = buf.get_u32_le();
-                if bits > MAX_SHARD_BITS {
-                    return Err(PersistError::Format(format!(
-                        "implausible shard_bits {bits}"
-                    )));
-                }
-                (bits, 1usize << bits)
-            }
-            OLD_SINGLE_SHARD_VERSION => (0, 1),
-            other => {
-                return Err(PersistError::Format(format!("unsupported version {other}")));
-            }
-        };
+        let shard_bits = buf.get_u32_le();
+        if shard_bits > MAX_SHARD_BITS {
+            return Err(PersistError::Format(format!(
+                "implausible shard_bits {shard_bits}"
+            )));
+        }
+        let sections = 1usize << shard_bits;
         let mut index = PatternIndex::with_capacity(0, num_columns, tau, shard_bits);
         for section in 0..sections {
             if buf.remaining() < 8 {
@@ -295,38 +287,19 @@ impl PatternIndex {
         av_pattern::fnv1a(&self.to_bytes())
     }
 
-    /// Write the index through `storage` atomically (see
-    /// [`write_atomic`]): the bytes go to a sibling `.tmp` file which is
-    /// fsynced and renamed over `path`, then the parent directory is
-    /// fsynced so the rename survives a crash. A crash at any point
-    /// leaves either the old image or the new one at `path`, never a
-    /// truncated hybrid.
-    pub fn save_with(
-        &self,
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<(), PersistError> {
-        write_atomic(storage, path.as_ref(), &self.to_bytes())?;
+    /// Write the index to `path` atomically (see [`write_atomic`]): the
+    /// bytes go to a sibling `.tmp` file which is fsynced and renamed over
+    /// `path`, then the parent directory is fsynced so the rename
+    /// survives a crash. A crash at any point leaves either the old image
+    /// or the new one at `path`, never a truncated hybrid.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+        write_atomic(&OsStorage, path.as_ref(), &self.to_bytes())?;
         Ok(())
     }
 
-    /// [`save_with`](Self::save_with) against the real filesystem.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_with(&OsStorage, path)
-    }
-
-    /// Read an index through `storage`.
-    pub fn load_with(
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<PatternIndex, PersistError> {
-        let buf = storage.read(path.as_ref())?;
-        PatternIndex::from_bytes(&buf)
-    }
-
-    /// [`load_with`](Self::load_with) against the real filesystem.
+    /// Read an index image from `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<PatternIndex, PersistError> {
-        Self::load_with(&OsStorage, path)
+        PatternIndex::from_bytes(&OsStorage.read(path.as_ref())?)
     }
 }
 
@@ -363,10 +336,10 @@ mod tests {
         assert_eq!(restored.to_bytes(), bytes);
     }
 
-    /// A single-shard v4 image carries exactly the v3 body after its
-    /// header, and the v3 loader still accepts the old framing.
+    /// A single-shard image round-trips and reshards to exactly the
+    /// image a native build at the default shard count produces.
     #[test]
-    fn one_shard_v4_is_v3_modulo_header_and_v3_still_loads() {
+    fn one_shard_image_reshards_to_the_native_layout() {
         let corpus = generate_lake(&LakeProfile::tiny().scaled(60), 3);
         let cols: Vec<&Column> = corpus.columns().collect();
         let config = IndexConfig {
@@ -375,23 +348,9 @@ mod tests {
             ..Default::default()
         };
         let index = PatternIndex::build(&cols, &config);
-        let v4 = index.to_bytes();
-
-        // v4 header: magic(4) version(4) num_columns(8) tau(8) bits(4).
-        // v3 header: magic(4) version(4) num_columns(8) tau(8).
-        let mut v3 = Vec::with_capacity(v4.len() - 4);
-        v3.extend_from_slice(b"AVIX");
-        v3.extend_from_slice(&3u32.to_le_bytes());
-        v3.extend_from_slice(&index.num_columns.to_le_bytes());
-        v3.extend_from_slice(&(index.tau as u64).to_le_bytes());
-        v3.extend_from_slice(&v4[28..]); // body, bit-identical by design
-
-        let loaded = PatternIndex::from_bytes(&v3).expect("v3 image loads");
+        let loaded = PatternIndex::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(loaded.shard_count(), 1);
         assert_eq!(loaded.len(), index.len());
-        // Re-serializing the v3-loaded index produces the v4 image again.
-        assert_eq!(loaded.to_bytes(), v4);
-        // And resharding it to the default layout matches a native build.
         let native = PatternIndex::build(
             &cols,
             &IndexConfig {
@@ -442,6 +401,23 @@ mod tests {
         let mut old = bytes.to_vec();
         old[4..8].copy_from_slice(&2u32.to_le_bytes());
         assert!(PatternIndex::from_bytes(&old).is_err());
+        // So is v3, the single-shard layout: a v4 header minus its
+        // shard_bits field over one section, which nothing writes now.
+        let one_shard = PatternIndex::build(
+            &cols,
+            &IndexConfig {
+                shard_bits: 0,
+                ..Default::default()
+            },
+        )
+        .to_bytes();
+        let mut v3 = one_shard[..24].to_vec();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        v3.extend_from_slice(&one_shard[28..]);
+        match PatternIndex::from_bytes(&v3) {
+            Err(crate::PersistError::Format(m)) => assert!(m.contains("version 3"), "{m}"),
+            other => panic!("v3 image must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The persistent rule catalog: named validation rules inferred once,
-//! serialized to disk, reloaded on restart — so a recurring pipeline's
-//! rules survive service restarts and are never re-inferred per run.
+//! written into every checkpoint, reloaded on restart — so a recurring
+//! pipeline's rules survive service restarts and are never re-inferred
+//! per run.
 //!
 //! On-disk format: a text file, first line `AVCAT 3`, then one line per
 //! rule combining catalog metadata with the rule's `av-core` wire form,
@@ -12,20 +13,16 @@
 //! #crc32=9a0b1c2d
 //! ```
 //!
-//! The footer turns silent bit rot into a load error that names the file
-//! and the byte offset of the mismatch. `AVCAT 2` files (written before
-//! the footer existed) still load; `AVCAT 1` files predate the
-//! whitespace-tokenization change and are refused rather than
-//! reinterpreted.
+//! The footer turns silent bit rot into a load error that names the byte
+//! offset of the mismatch. Older headers (`AVCAT 1`, `AVCAT 2`) are
+//! refused rather than reinterpreted: nothing writes them any more.
 //!
-//! Saves are atomic and durable (sibling temp file, `fsync`, rename,
-//! parent-directory `fsync`), so a crash mid-save never corrupts the
-//! previous catalog and a completed save survives power loss.
+//! Checkpoints write this text as a generation-numbered file referenced
+//! by the manifest (see [`crate::durable`]).
 
 use av_core::{pct_decode, pct_encode, AnyRule};
-use av_durable::{crc32, OsStorage, Storage};
+use av_durable::crc32;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// A named rule plus provenance metadata.
 #[derive(Debug, Clone)]
@@ -40,19 +37,14 @@ pub struct CatalogEntry {
     pub created_unix: u64,
 }
 
-/// Errors from loading or saving a catalog.
+/// Errors from parsing a catalog.
 #[derive(Debug)]
 pub enum CatalogError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// Malformed catalog content.
     Format(String),
-    /// The CRC-32 footer did not match the catalog bytes: the file was
+    /// The CRC-32 footer did not match the catalog bytes: the text was
     /// corrupted after it was written.
     Corrupt {
-        /// The file that failed verification (empty when the catalog was
-        /// parsed from in-memory text).
-        file: String,
         /// Byte offset of the footer whose check failed.
         offset: u64,
         /// What mismatched.
@@ -63,15 +55,9 @@ pub enum CatalogError {
 impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CatalogError::Io(e) => write!(f, "catalog io error: {e}"),
             CatalogError::Format(m) => write!(f, "catalog format error: {m}"),
-            CatalogError::Corrupt {
-                file,
-                offset,
-                detail,
-            } => {
-                let file = if file.is_empty() { "<memory>" } else { file };
-                write!(f, "catalog {file} corrupt at byte {offset}: {detail}")
+            CatalogError::Corrupt { offset, detail } => {
+                write!(f, "catalog corrupt at byte {offset}: {detail}")
             }
         }
     }
@@ -79,21 +65,14 @@ impl std::fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
-impl From<std::io::Error> for CatalogError {
-    fn from(e: std::io::Error) -> Self {
-        CatalogError::Io(e)
-    }
-}
-
 // v2: rules serialized before the whitespace-tokenization change (CR/LF as
 // symbol runs) would silently change meaning if reloaded; the header bump
 // turns that into a clean load error instead.
-// v3: adds the CRC-32 footer line. v2 files (no footer) still load.
+// v3: adds the CRC-32 footer line.
 const HEADER: &str = "AVCAT 3";
-const HEADER_V2: &str = "AVCAT 2";
 const FOOTER_PREFIX: &str = "#crc32=";
 
-/// An in-memory collection of named rules with disk persistence.
+/// An in-memory collection of named rules with a text serialization.
 #[derive(Debug, Clone, Default)]
 pub struct RuleCatalog {
     entries: BTreeMap<String, CatalogEntry>,
@@ -149,45 +128,35 @@ impl RuleCatalog {
         out
     }
 
-    /// Parse a catalog from its text form. Accepts AVCAT 3 (footer
-    /// verified) and AVCAT 2 (no footer).
+    /// Parse a catalog from its AVCAT 3 text form, verifying the footer.
     pub fn from_text(text: &str) -> Result<RuleCatalog, CatalogError> {
-        let mut lines = text.lines();
-        let v3 = match lines.next() {
-            Some(h) if h.trim() == HEADER => true,
-            Some(h) if h.trim() == HEADER_V2 => false,
+        match text.lines().next() {
+            Some(h) if h.trim() == HEADER => {}
             other => {
                 return Err(CatalogError::Format(format!(
                     "bad header {other:?}, expected {HEADER:?}"
                 )))
             }
-        };
-        let body = if v3 {
-            // The footer must be the last non-empty line; its CRC covers
-            // every byte before the footer line itself.
-            let trimmed = text.trim_end_matches(['\n', '\r']);
-            let footer_start = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            let footer = &trimmed[footer_start..];
-            let stored = footer
-                .strip_prefix(FOOTER_PREFIX)
-                .and_then(|h| u32::from_str_radix(h.trim(), 16).ok())
-                .ok_or_else(|| CatalogError::Corrupt {
-                    file: String::new(),
-                    offset: footer_start as u64,
-                    detail: format!("missing {FOOTER_PREFIX:?} footer line"),
-                })?;
-            let computed = crc32(&text.as_bytes()[..footer_start]);
-            if stored != computed {
-                return Err(CatalogError::Corrupt {
-                    file: String::new(),
-                    offset: footer_start as u64,
-                    detail: format!("crc32 mismatch: stored {stored:08x}, computed {computed:08x}"),
-                });
-            }
-            &text[..footer_start]
-        } else {
-            text
-        };
+        }
+        // The footer must be the last non-empty line; its CRC covers
+        // every byte before the footer line itself.
+        let trimmed = text.trim_end_matches(['\n', '\r']);
+        let footer_start = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
+        let stored = trimmed[footer_start..]
+            .strip_prefix(FOOTER_PREFIX)
+            .and_then(|h| u32::from_str_radix(h.trim(), 16).ok())
+            .ok_or_else(|| CatalogError::Corrupt {
+                offset: footer_start as u64,
+                detail: format!("missing {FOOTER_PREFIX:?} footer line"),
+            })?;
+        let computed = crc32(&text.as_bytes()[..footer_start]);
+        if stored != computed {
+            return Err(CatalogError::Corrupt {
+                offset: footer_start as u64,
+                detail: format!("crc32 mismatch: stored {stored:08x}, computed {computed:08x}"),
+            });
+        }
+        let body = &text[..footer_start];
         let mut catalog = RuleCatalog::new();
         for (i, line) in body.lines().skip(1).enumerate() {
             let line = line.trim();
@@ -199,54 +168,6 @@ impl RuleCatalog {
             catalog.insert(entry);
         }
         Ok(catalog)
-    }
-
-    /// Write the catalog through `storage` atomically and durably
-    /// (see [`av_durable::write_atomic`]): sibling temp file, `fsync`,
-    /// rename over `path`, parent-directory `fsync`.
-    pub fn save_with(
-        &self,
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<(), CatalogError> {
-        av_durable::write_atomic(storage, path.as_ref(), self.to_text().as_bytes())?;
-        Ok(())
-    }
-
-    /// [`save_with`](Self::save_with) against the real filesystem.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CatalogError> {
-        self.save_with(&OsStorage, path)
-    }
-
-    /// Load a catalog through `storage`. Corruption errors name the file
-    /// and the byte offset where verification failed.
-    pub fn load_with(
-        storage: &dyn Storage,
-        path: impl AsRef<Path>,
-    ) -> Result<RuleCatalog, CatalogError> {
-        let path = path.as_ref();
-        let bytes = storage.read(path)?;
-        let text = String::from_utf8(bytes)
-            .map_err(|e| CatalogError::Format(format!("catalog is not UTF-8: {e}")))?;
-        RuleCatalog::from_text(&text).map_err(|e| name_file(e, &path.display().to_string()))
-    }
-
-    /// [`load_with`](Self::load_with) against the real filesystem.
-    pub fn load(path: impl AsRef<Path>) -> Result<RuleCatalog, CatalogError> {
-        Self::load_with(&OsStorage, path)
-    }
-}
-
-/// Stamp a file name into a [`CatalogError::Corrupt`] raised while parsing
-/// that file's text.
-pub(crate) fn name_file(e: CatalogError, file_name: &str) -> CatalogError {
-    match e {
-        CatalogError::Corrupt { offset, detail, .. } => CatalogError::Corrupt {
-            file: file_name.to_string(),
-            offset,
-            detail,
-        },
-        other => other,
     }
 }
 
@@ -341,32 +262,32 @@ mod tests {
     }
 
     #[test]
-    fn save_load_via_file() {
-        let dir = std::env::temp_dir().join("av_catalog_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rules.avcat");
-        let mut cat = RuleCatalog::new();
-        cat.insert(entry("r1", "<num>"));
-        cat.save(&path).unwrap();
-        let loaded = RuleCatalog::load(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(loaded.get("r1").unwrap().rule.conforms("42"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn bad_input_is_rejected() {
         assert!(RuleCatalog::from_text("").is_err());
         assert!(RuleCatalog::from_text("NOT A CATALOG\n").is_err());
-        assert!(RuleCatalog::from_text("AVCAT 2\ngarbage line\n").is_err());
-        // Header alone is a valid empty catalog.
-        assert!(RuleCatalog::from_text("AVCAT 2\n").unwrap().is_empty());
-        // Pre-whitespace-change catalogs are refused, not reinterpreted.
+        // Header plus footer is a valid empty catalog; a garbage line
+        // under a valid footer is still refused.
+        let empty = RuleCatalog::new().to_text();
+        assert!(RuleCatalog::from_text(&empty).unwrap().is_empty());
+        let garbage = "AVCAT 3\ngarbage line\n";
+        let footer = format!("#crc32={:08x}\n", crc32(garbage.as_bytes()));
+        assert!(matches!(
+            RuleCatalog::from_text(&format!("{garbage}{footer}")),
+            Err(CatalogError::Format(_))
+        ));
+        // Pre-whitespace-change and pre-footer catalogs are refused, not
+        // reinterpreted: nothing writes them any more.
         assert!(RuleCatalog::from_text("AVCAT 1\n").is_err());
+        for old in ["AVCAT 2\n", "AVCAT 2\nname=r;kind=dictionary\n"] {
+            assert!(
+                matches!(RuleCatalog::from_text(old), Err(CatalogError::Format(_))),
+                "{old:?}"
+            );
+        }
     }
 
     #[test]
-    fn corrupted_catalog_names_file_and_offset() {
+    fn corrupted_catalog_reports_the_offset() {
         let mut cat = RuleCatalog::new();
         cat.insert(entry("r1", "<num>"));
         cat.insert(entry("r2", "<digit>{4}"));
@@ -397,30 +318,8 @@ mod tests {
             RuleCatalog::from_text(&text[..footer_at]),
             Err(CatalogError::Corrupt { .. })
         ));
-
-        // Loading from disk names the file in the error message.
-        let dir = std::env::temp_dir().join(format!("av_catalog_crc_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rules.avcat");
-        std::fs::write(&path, &corrupt).unwrap();
-        let err = RuleCatalog::load(&path).unwrap_err().to_string();
-        assert!(err.contains("rules.avcat"), "{err}");
+        let err = RuleCatalog::from_text(&corrupt).unwrap_err().to_string();
         assert!(err.contains("corrupt at byte"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v2_catalogs_without_footer_still_load() {
-        let mut cat = RuleCatalog::new();
-        cat.insert(entry("r1", "<num>"));
-        // Render a v2 image by hand: v3 text minus the footer, with the
-        // old header.
-        let v3 = cat.to_text();
-        let body_end = v3.rfind("#crc32=").unwrap();
-        let v2 = format!("AVCAT 2\n{}", &v3["AVCAT 3\n".len()..body_end]);
-        let loaded = RuleCatalog::from_text(&v2).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert!(loaded.get("r1").unwrap().rule.conforms("42"));
     }
 
     #[test]

@@ -1,10 +1,22 @@
-//! Crash-safe durability for the validation service: WAL record encoding,
-//! incremental checkpoints, and recovery.
+//! The validation service's one persistence path: incremental
+//! checkpoints, recovery, and the optional write-ahead log.
+//!
+//! ## On-disk layout
+//!
+//! Every data directory is a checkpoint directory: generation-numbered
+//! manifests, the per-shard index files and catalog file they reference,
+//! and — only when [`DurabilityConfig::enabled`] is on — a `wal/`
+//! subdirectory. A directory with no manifest yet may hold a **seed
+//! image**: `index.avix` (as written by `auto-validate index` or
+//! [`PatternIndex::save`]) plus `rules.avcat` if present. Recovery loads
+//! the seed as the base image; the first checkpoint supersedes it. The
+//! service never writes the seed files.
 //!
 //! ## What is logged
 //!
-//! Every acknowledged mutating operation appends one CRC-framed record to
-//! the write-ahead log *before* the service applies it:
+//! With the WAL on, every acknowledged mutating operation appends one
+//! CRC-framed record to the write-ahead log *before* the service applies
+//! it:
 //!
 //! | type byte | op            | payload                                   |
 //! |-----------|---------------|-------------------------------------------|
@@ -18,27 +30,33 @@
 //! the catalog *line* makes a replayed rule byte-identical to a
 //! checkpointed one.
 //!
+//! With the WAL off nothing is appended and no WAL file is created; a WAL
+//! tail left by an earlier WAL-on run is still replayed at open, and the
+//! next checkpoint's watermark covers it.
+//!
 //! ## Checkpoints
 //!
 //! A checkpoint drains in-flight ingests, pins a WAL watermark `W` under
 //! the log lock, rotates the log, and snapshots the index epoch and
 //! catalog text — so the snapshot holds exactly the operations with LSN
-//! ≤ `W`. It then writes **only the shards whose `Arc` changed since the
-//! previous checkpoint** (untouched shards are pointer-shared across
-//! merges, so the previous generation's files are re-referenced), writes
-//! the catalog, and commits by atomically publishing a generation-numbered
+//! ≤ `W` (with the WAL off, `W` is the highest LSN recovery saw). It
+//! then writes **only the shards whose `Arc` changed since the previous
+//! checkpoint** (untouched shards are pointer-shared across merges, so
+//! the previous generation's files are re-referenced), writes the
+//! catalog, and commits by atomically publishing a generation-numbered
 //! [`Manifest`]. Only after the manifest is durable are covered WAL
 //! segments removed and unreferenced files of older generations collected.
 //!
 //! ## Recovery
 //!
-//! `recover` loads the newest manifest that verifies, checks every shard
-//! file against its manifest CRC — **quarantining** (not refusing to start
-//! on) corrupt files — then replays WAL records above the manifest's
-//! watermark, truncating the torn tail. The result equals the state after
-//! some prefix of the acknowledged operation history, and that prefix
-//! covers every operation acknowledged before the crash. Replay cost is
-//! O(records since the last checkpoint), never a corpus rebuild.
+//! `recover` loads the newest manifest that verifies (or, when there is
+//! none, the seed image), checks every shard file against its manifest
+//! CRC — **quarantining** (not refusing to start on) corrupt files — then
+//! replays WAL records above the manifest's watermark, truncating the
+//! torn tail. The result equals the state after some prefix of the
+//! acknowledged operation history, and that prefix covers every operation
+//! acknowledged before the crash. Replay cost is O(records since the last
+//! checkpoint), never a corpus rebuild.
 
 use crate::catalog::{self, CatalogEntry, RuleCatalog};
 use crate::lockorder;
@@ -63,8 +81,9 @@ const REC_DELETE: u8 = 3;
 /// Durability knobs for [`ServiceConfig`](crate::ServiceConfig).
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Log every mutating op to a WAL and checkpoint incrementally.
-    /// Requires a data directory; off by default.
+    /// Write-ahead log every mutating op and checkpoint automatically.
+    /// Requires a data directory; off by default. Off, `persist` still
+    /// writes the same checkpoints, but ops between them are not logged.
     pub enabled: bool,
     /// WAL segment rotation threshold, in bytes.
     pub wal_segment_bytes: u64,
@@ -169,31 +188,54 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
 
 /// What the previous checkpoint durably holds, used to write only changed
 /// shards at the next one.
+#[derive(Default)]
 pub(crate) struct CheckpointBase {
     /// Last durable generation (0 before any checkpoint).
     pub generation: u64,
     /// The index epoch the base files encode. `None` forces a full shard
     /// rewrite (fresh service, or a recovery that resharded the image).
     pub index: Option<Arc<PatternIndex>>,
-    /// Per-shard file entries of the base manifest; `None` for a shard
-    /// with no reusable file (e.g. quarantined during recovery).
+    /// Per-shard file entries of the base manifest (empty when it is not
+    /// a checkpoint); `None` for a shard with no reusable file (e.g.
+    /// quarantined during recovery).
     pub files: Vec<Option<ShardFileEntry>>,
     /// File names the previous generation references (manifest included):
     /// the garbage collector keeps these plus the new generation's files,
     /// so a recovery that falls back one generation still finds its files.
     pub retained: BTreeSet<String>,
+    /// Highest LSN the in-memory state covers as far as the checkpointer
+    /// knows (last watermark, or the end of the replayed WAL tail). A
+    /// checkpoint with the WAL off records it as its watermark.
+    pub last_lsn: u64,
+    /// Set for a service built by `ValidationService::new`, which has not
+    /// read the directory: its first checkpoint [adopts](adopt) the
+    /// directory's newest generation and LSN so it supersedes them.
+    pub fresh: bool,
 }
 
-/// Shared durability state owned by the service in durable mode.
+impl CheckpointBase {
+    /// The base of a service that has not read its directory yet.
+    pub fn fresh() -> CheckpointBase {
+        CheckpointBase {
+            fresh: true,
+            ..CheckpointBase::default()
+        }
+    }
+}
+
+/// Persistence state owned by every service with a data directory.
 pub(crate) struct DurableState {
     pub storage: Arc<dyn Storage>,
     pub dir: PathBuf,
+    /// The effective knobs: `cfg.enabled` is true exactly when `wal`
+    /// holds a log.
     pub cfg: DurabilityConfig,
-    /// The WAL. This mutex is the op-ordering lock and is always the
-    /// **outermost** lock of any mutating path: append under it, then
-    /// apply (catalog ops apply while still holding it; ingests register
-    /// in `in_flight` and merge after releasing it).
-    pub wal: Mutex<Wal>,
+    /// The WAL (`None` with the WAL off). This mutex is the op-ordering
+    /// lock in both modes and is always the **outermost** lock of any
+    /// mutating path: append under it, then apply (catalog ops apply
+    /// while still holding it; logged ingests register in `in_flight`
+    /// and merge after releasing it).
+    pub wal: Mutex<Option<Wal>>,
     /// LSNs appended but not yet merged into the index. Checkpoints drain
     /// this (under the WAL lock, so no new LSNs can appear) before
     /// snapshotting, guaranteeing the snapshot covers the watermark.
@@ -201,11 +243,9 @@ pub(crate) struct DurableState {
     pub in_flight_cv: Condvar,
     /// Serializes checkpoints and holds what the last one wrote.
     pub ckpt: Mutex<CheckpointBase>,
+    /// What recovery had to do at open.
+    pub recovered: RecoveryTally,
     pub records_since_checkpoint: AtomicU64,
-    pub replayed_records: AtomicU64,
-    pub truncated_tail_bytes: AtomicU64,
-    pub quarantined_files: AtomicU64,
-    pub skipped_records: AtomicU64,
     pub checkpoints_completed: AtomicU64,
     pub checkpoint_failures: AtomicU64,
     pub last_generation: AtomicU64,
@@ -221,6 +261,32 @@ impl std::fmt::Debug for DurableState {
 }
 
 impl DurableState {
+    /// State over `dir`; the replayed records count as not yet
+    /// checkpointed.
+    pub fn new(
+        storage: Arc<dyn Storage>,
+        dir: PathBuf,
+        cfg: DurabilityConfig,
+        wal: Option<Wal>,
+        base: CheckpointBase,
+        recovered: RecoveryTally,
+    ) -> DurableState {
+        DurableState {
+            storage,
+            dir,
+            cfg,
+            wal: Mutex::new(wal),
+            in_flight: Mutex::new(BTreeSet::new()),
+            in_flight_cv: Condvar::new(),
+            last_generation: AtomicU64::new(base.generation),
+            ckpt: Mutex::new(base),
+            recovered,
+            records_since_checkpoint: AtomicU64::new(recovered.replayed_records),
+            checkpoints_completed: AtomicU64::new(0),
+            checkpoint_failures: AtomicU64::new(0),
+        }
+    }
+
     /// Point-in-time counters plus WAL shape (briefly takes the WAL lock).
     pub fn snapshot(&self) -> DurabilitySnapshot {
         let (wal_segments, wal_bytes) = {
@@ -228,17 +294,18 @@ impl DurableState {
                 lockorder::rank_guard(lockorder::WAL),
                 self.wal.lock().expect("wal lock poisoned"),
             );
-            (wal.segment_count(), wal.total_bytes())
+            wal.as_ref()
+                .map_or((0, 0), |w| (w.segment_count(), w.total_bytes()))
         };
         DurabilitySnapshot {
             checkpoint_generation: self.last_generation.load(Ordering::Relaxed),
             wal_segments,
             wal_bytes,
             records_since_checkpoint: self.records_since_checkpoint.load(Ordering::Relaxed),
-            replayed_records: self.replayed_records.load(Ordering::Relaxed),
-            truncated_tail_bytes: self.truncated_tail_bytes.load(Ordering::Relaxed),
-            quarantined_files: self.quarantined_files.load(Ordering::Relaxed),
-            skipped_records: self.skipped_records.load(Ordering::Relaxed),
+            replayed_records: self.recovered.replayed_records,
+            truncated_tail_bytes: self.recovered.truncated_tail_bytes,
+            quarantined_files: self.recovered.quarantined_files,
+            skipped_records: self.recovered.skipped_records,
             checkpoints_completed: self.checkpoints_completed.load(Ordering::Relaxed),
             checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
         }
@@ -287,54 +354,52 @@ fn quarantine(storage: &dyn Storage, dir: &Path, name: &str) {
 /// Everything [`recover`] reconstructs. The engine installs `image`,
 /// applies `records` in order, then builds the live [`DurableState`].
 pub(crate) struct Recovery {
-    /// The checkpoint (or legacy `index.avix`) index image, if any.
+    /// The checkpoint (or seed `index.avix`) index image, if any.
     pub image: Option<PatternIndex>,
-    /// True when `image` came from a checkpoint manifest whose shard
-    /// layout is intact — its files may seed the next checkpoint's base.
-    pub image_from_checkpoint: bool,
     /// The recovered catalog, *before* WAL replay.
     pub catalog: RuleCatalog,
     /// Decoded WAL records above the manifest watermark, in LSN order.
     pub records: Vec<WalRecord>,
-    /// The WAL, opened for appending after the replayed records.
-    pub wal: Wal,
-    /// Base-manifest bookkeeping for the next checkpoint.
-    pub base_generation: u64,
-    pub base_files: Vec<Option<ShardFileEntry>>,
-    pub retained: BTreeSet<String>,
+    /// The WAL, opened for appending after the replayed records; `None`
+    /// with the WAL off.
+    pub wal: Option<Wal>,
+    /// Base-manifest bookkeeping for the next checkpoint; its `index` is
+    /// left for the engine to fill in once the image is installed.
+    pub base: CheckpointBase,
     /// Counters for the durability snapshot.
+    pub tally: RecoveryTally,
+}
+
+/// What one recovery had to do, reported by every durability snapshot.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RecoveryTally {
     pub replayed_records: u64,
     pub truncated_tail_bytes: u64,
     pub quarantined_files: u64,
     pub skipped_records: u64,
 }
 
-/// Recover durable state from `dir`: newest valid manifest → per-file CRC
+/// Recover state from `dir`: newest valid manifest → per-file CRC
 /// verification with quarantine → WAL replay with torn-tail truncation.
-/// Falls back to legacy `index.avix` + `rules.avcat` images (plus full
-/// WAL replay) when no manifest exists.
+/// Falls back to the seed image (`index.avix`, plus `rules.avcat` if
+/// present) and a full WAL replay when no manifest exists. With the WAL
+/// off this only reads: nothing in `dir` is created or changed unless a
+/// corrupt file has to be quarantined.
 pub(crate) fn recover(
     storage: &Arc<dyn Storage>,
     dir: &Path,
     cfg: &DurabilityConfig,
 ) -> Result<Recovery, DurableError> {
-    storage.create_dir_all(dir)?;
     let wal_dir = dir.join(WAL_DIR);
-    storage.create_dir_all(&wal_dir)?;
-
-    let mut quarantined = 0u64;
+    let mut tally = RecoveryTally::default();
     let mut image = None;
-    let mut image_from_checkpoint = false;
     let mut catalog = RuleCatalog::new();
-    let mut base_generation = 0;
-    let mut base_files = Vec::new();
-    let mut retained = BTreeSet::new();
-    let mut last_lsn = 0;
+    let mut base = CheckpointBase::default();
 
     if let Some((manifest, _skipped)) = Manifest::load_newest(storage.as_ref(), dir)? {
         let shard_count = 1usize << manifest.shard_bits;
         let mut shards = vec![IndexShard::default(); shard_count];
-        base_files = vec![None; shard_count];
+        base.files = vec![None; shard_count];
         for entry in &manifest.shards {
             let idx = entry.shard as usize;
             if idx >= shard_count {
@@ -350,7 +415,7 @@ pub(crate) fn recover(
             match verified {
                 Some(shard) => {
                     shards[idx] = shard;
-                    base_files[idx] = Some(entry.clone());
+                    base.files[idx] = Some(entry.clone());
                 }
                 None => {
                     // Quarantine instead of refusing to start: the shard
@@ -358,7 +423,7 @@ pub(crate) fn recover(
                     // covers. The manifest entry is dropped from the base
                     // so the next checkpoint rewrites this shard.
                     quarantine(storage.as_ref(), dir, &entry.file);
-                    quarantined += 1;
+                    tally.quarantined_files += 1;
                 }
             }
         }
@@ -375,7 +440,6 @@ pub(crate) fn recover(
                 detail: format!("manifest shard layout rejected: {e}"),
             })?,
         );
-        image_from_checkpoint = true;
         if !manifest.catalog_file.is_empty() {
             let verified = storage
                 .read(&dir.join(&manifest.catalog_file))
@@ -390,23 +454,24 @@ pub(crate) fn recover(
                 Some(cat) => catalog = cat,
                 None => {
                     quarantine(storage.as_ref(), dir, &manifest.catalog_file);
-                    quarantined += 1;
+                    tally.quarantined_files += 1;
                 }
             }
         }
-        base_generation = manifest.generation;
-        last_lsn = manifest.last_lsn;
-        retained.insert(Manifest::file_name(manifest.generation));
+        base.generation = manifest.generation;
+        base.last_lsn = manifest.last_lsn;
+        base.retained
+            .insert(Manifest::file_name(manifest.generation));
         if !manifest.catalog_file.is_empty() {
-            retained.insert(manifest.catalog_file.clone());
+            base.retained.insert(manifest.catalog_file.clone());
         }
         for entry in &manifest.shards {
-            retained.insert(entry.file.clone());
+            base.retained.insert(entry.file.clone());
         }
     } else {
-        // Pre-durability layout: a frozen `index.avix` + `rules.avcat`
-        // pair. Load it as the base image; the WAL (if any) replays in
-        // full on top.
+        // No checkpoint yet: the seed image (an offline-built
+        // `index.avix`, plus `rules.avcat` if present) is the base; the
+        // WAL (if any) replays in full on top.
         let index_path = dir.join(crate::engine::INDEX_FILE);
         if storage.exists(&index_path) {
             let data = storage.read(&index_path)?;
@@ -434,40 +499,58 @@ pub(crate) fn recover(
         }
     }
 
-    let replay: WalReplay = Wal::replay(storage.as_ref(), &wal_dir, last_lsn)?;
-    let mut skipped = 0u64;
+    let replay: WalReplay = Wal::replay(storage.as_ref(), &wal_dir, base.last_lsn)?;
     let mut records = Vec::with_capacity(replay.records.len());
-    let mut max_lsn = last_lsn;
     for (lsn, payload) in &replay.records {
-        max_lsn = *lsn;
+        base.last_lsn = *lsn;
         match decode_record(payload) {
             Ok(record) => records.push(record),
-            Err(_) => skipped += 1,
+            Err(_) => tally.skipped_records += 1,
         }
     }
-    let wal = Wal::create(
-        Arc::clone(storage),
-        wal_dir,
-        WalConfig {
-            segment_bytes: cfg.wal_segment_bytes,
-        },
-        max_lsn + 1,
-    )?;
+    tally.replayed_records = replay.records.len() as u64;
+    tally.truncated_tail_bytes = replay.truncated_tail_bytes;
+    let wal = if cfg.enabled {
+        Some(Wal::create(
+            Arc::clone(storage),
+            wal_dir,
+            WalConfig {
+                segment_bytes: cfg.wal_segment_bytes,
+            },
+            base.last_lsn + 1,
+        )?)
+    } else {
+        None
+    };
 
     Ok(Recovery {
         image,
-        image_from_checkpoint,
         catalog,
         records,
         wal,
-        base_generation,
-        base_files,
-        retained,
-        replayed_records: replay.records.len() as u64,
-        truncated_tail_bytes: replay.truncated_tail_bytes,
-        quarantined_files: quarantined,
-        skipped_records: skipped,
+        base,
+        tally,
     })
+}
+
+/// Point a fresh base (see [`CheckpointBase::fresh`]) past what `dir`
+/// already holds: the newest manifest generation, valid or not, and the
+/// highest LSN its watermark or the WAL covers. A checkpoint written on
+/// top then supersedes the directory's previous contents instead of
+/// being shadowed by an older lineage or having a stale WAL tail
+/// replayed over it.
+pub(crate) fn adopt(state: &DurableState, base: &mut CheckpointBase) -> Result<(), DurableError> {
+    let storage = state.storage.as_ref();
+    let newest = Manifest::load_newest(storage, &state.dir)?;
+    let from = newest.as_ref().map_or(0, |(m, _)| m.last_lsn);
+    let replay = Wal::replay(storage, &state.dir.join(WAL_DIR), from)?;
+    base.generation = Manifest::list_generations(storage, &state.dir)?
+        .first()
+        .copied()
+        .unwrap_or(0);
+    base.last_lsn = replay.records.last().map_or(from, |&(lsn, _)| lsn);
+    base.fresh = false;
+    Ok(())
 }
 
 /// Write one incremental checkpoint: `index` and `catalog_text` must be a
@@ -489,6 +572,7 @@ pub(crate) fn write_checkpoint(
     let storage = state.storage.as_ref();
     let dir = &state.dir;
     let generation = base.generation + 1;
+    storage.create_dir_all(dir)?;
 
     let reusable = base
         .index
@@ -552,7 +636,9 @@ pub(crate) fn write_checkpoint(
             lockorder::rank_guard(lockorder::WAL),
             state.wal.lock().expect("wal lock poisoned"),
         );
-        let _ = wal.remove_through(watermark);
+        if let Some(wal) = wal.as_mut() {
+            let _ = wal.remove_through(watermark);
+        }
     }
     // Keep the new generation plus the previous one (recovery may fall
     // back a generation if the newest manifest is damaged); collect
@@ -577,6 +663,7 @@ pub(crate) fn write_checkpoint(
     base.index = Some(Arc::clone(index));
     base.files = shard_entries.into_iter().map(Some).collect();
     base.retained = new_retained;
+    base.last_lsn = watermark;
     Ok(generation)
 }
 

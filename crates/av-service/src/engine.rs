@@ -18,9 +18,10 @@
 //!   serialize only ingests whose deltas overlap; the final epoch swap is
 //!   a few pointer copies under one brief write lock.
 
-use crate::catalog::{self, CatalogEntry, CatalogError, RuleCatalog};
+use crate::catalog::{self, CatalogEntry, RuleCatalog};
 use crate::durable::{
-    self, CheckpointBase, DurabilityConfig, DurabilitySnapshot, DurableState, WalRecord,
+    self, CheckpointBase, DurabilityConfig, DurabilitySnapshot, DurableState, RecoveryTally,
+    WalRecord,
 };
 use crate::lockorder;
 use crate::telemetry::{FailureExemplar, ServiceTelemetry, TelemetryConfig};
@@ -31,15 +32,18 @@ use av_core::{
 };
 use av_corpus::Column;
 use av_durable::{DurableError, OsStorage, Storage};
-use av_index::{DeltaError, IndexConfig, IndexDelta, PatternIndex, PersistError, ShardedIndex};
-use std::collections::{BTreeSet, HashMap};
+use av_index::{DeltaError, IndexConfig, IndexDelta, PatternIndex, ShardedIndex};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-/// On-disk index file name inside the service data directory.
+/// Seed index file name inside a data directory: an offline-built index
+/// (`auto-validate index`, [`PatternIndex::save`]) that a directory with
+/// no checkpoint yet starts from. The service reads it, never writes it.
 pub const INDEX_FILE: &str = "index.avix";
-/// On-disk catalog file name inside the service data directory.
+/// Seed catalog file name inside a data directory, read alongside
+/// [`INDEX_FILE`] when present.
 pub const CATALOG_FILE: &str = "rules.avcat";
 
 /// Default cap on one JSONL request line read from a TCP client (1 MiB).
@@ -65,10 +69,11 @@ pub struct ServiceConfig {
     /// FMDV knobs. `None` re-scales the coverage floor `m` to the live
     /// corpus size at each inference ([`FmdvConfig::scaled_for_corpus`]).
     pub fmdv: Option<FmdvConfig>,
-    /// Worker threads for batch validation (0 → available parallelism).
+    /// Worker threads in the serve loop's pool (0 → available
+    /// parallelism, at least 2).
     pub workers: usize,
-    /// Directory holding `index.avix` + `rules.avcat`; `None` disables
-    /// persistence.
+    /// Checkpoint directory the service recovers from and `persist`
+    /// writes to (see [`crate::durable`]); `None` disables persistence.
     pub data_dir: Option<PathBuf>,
     /// Largest JSONL request line a TCP connection may send, in bytes
     /// (default [`DEFAULT_MAX_REQUEST_BYTES`]). A client that streams more
@@ -94,8 +99,8 @@ pub struct ServiceConfig {
     /// Drift-telemetry knobs: sliding-window bucket width and the windowed
     /// flag-rate at which a rule's snapshot reports an alert.
     pub telemetry: TelemetryConfig,
-    /// Crash-safe durability knobs (WAL + incremental checkpoints).
-    /// Effective only with a data directory configured.
+    /// Write-ahead-log knobs. Effective only with a data directory
+    /// configured; checkpoints are written either way.
     pub durability: DurabilityConfig,
     /// The storage layer all durability I/O goes through. Production code
     /// keeps the default [`OsStorage`]; fault-injection tests swap in
@@ -127,7 +132,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Config persisting under `dir`.
+    /// Config persisting under `dir`: `persist` writes checkpoints, and
+    /// ops between them are not logged.
     pub fn with_data_dir(dir: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             data_dir: Some(dir.into()),
@@ -135,9 +141,9 @@ impl ServiceConfig {
         }
     }
 
-    /// Config persisting under `dir` with crash-safe durability enabled:
-    /// every mutating op is write-ahead logged and checkpoints are
-    /// incremental.
+    /// Config persisting under `dir` with the write-ahead log on: every
+    /// mutating op is logged before it is acknowledged, and checkpoints
+    /// also run automatically.
     pub fn durable(dir: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             data_dir: Some(dir.into()),
@@ -159,10 +165,6 @@ pub enum ServiceError {
     Infer(InferError),
     /// An ingested delta could not merge (τ mismatch).
     Delta(DeltaError),
-    /// Index (de)serialization failed.
-    Index(PersistError),
-    /// Catalog (de)serialization failed.
-    Catalog(CatalogError),
     /// Persistence requested but the service has no data directory.
     NoDataDir,
     /// No baseline method with that name ([`av_baselines::baseline_by_name`]).
@@ -171,7 +173,7 @@ pub enum ServiceError {
     MethodDeclined(String),
     /// A baseline rule may not take a name held by a catalog rule.
     NameTaken(String),
-    /// Durability I/O failed (WAL append, checkpoint, or recovery). A
+    /// Persistence I/O failed (WAL append, checkpoint, or recovery). A
     /// poisoned WAL rejects mutating ops until a checkpoint rotates it.
     Durable(DurableError),
 }
@@ -182,8 +184,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnknownRule(n) => write!(f, "unknown rule {n:?}"),
             ServiceError::Infer(e) => write!(f, "inference failed: {e}"),
             ServiceError::Delta(e) => write!(f, "delta merge failed: {e}"),
-            ServiceError::Index(e) => write!(f, "index persistence failed: {e}"),
-            ServiceError::Catalog(e) => write!(f, "catalog persistence failed: {e}"),
             ServiceError::NoDataDir => write!(f, "service has no data directory configured"),
             ServiceError::UnknownMethod(m) => write!(f, "unknown baseline method {m:?}"),
             ServiceError::MethodDeclined(m) => {
@@ -208,18 +208,6 @@ impl From<InferError> for ServiceError {
 impl From<DeltaError> for ServiceError {
     fn from(e: DeltaError) -> Self {
         ServiceError::Delta(e)
-    }
-}
-
-impl From<PersistError> for ServiceError {
-    fn from(e: PersistError) -> Self {
-        ServiceError::Index(e)
-    }
-}
-
-impl From<CatalogError> for ServiceError {
-    fn from(e: CatalogError) -> Self {
-        ServiceError::Catalog(e)
     }
 }
 
@@ -333,9 +321,10 @@ pub struct ValidationService {
     /// **innermost** lock (taken after, never around, the catalog or
     /// baselines locks).
     classifier: Mutex<RuleSet>,
-    /// Crash-safe durability state (WAL, in-flight ingest registry, and
-    /// checkpoint base); `None` outside durable mode. The WAL mutex inside
-    /// is the outermost lock of every durable mutating path.
+    /// Persistence state (checkpoint base, the WAL when it is on, and the
+    /// in-flight ingest registry); `None` without a data directory. The
+    /// WAL mutex inside is the outermost lock of every mutating path that
+    /// takes it.
     durable: Option<DurableState>,
     telemetry: ServiceTelemetry,
     shutdown: AtomicBool,
@@ -359,15 +348,31 @@ pub struct ValidationService {
 }
 
 impl ValidationService {
-    /// A fresh service with an empty index and catalog.
+    /// A fresh service with an empty index and catalog. It reads nothing
+    /// from the data directory and logs nothing; its first `persist`
+    /// writes a checkpoint that supersedes whatever the directory held.
+    /// Use [`ValidationService::open`] to continue from a directory.
     pub fn new(config: ServiceConfig) -> ValidationService {
         let empty = PatternIndex::build(&[], &config.index);
+        let durable = config.data_dir.clone().map(|dir| {
+            DurableState::new(
+                Arc::clone(&config.storage),
+                dir,
+                DurabilityConfig {
+                    enabled: false,
+                    ..config.durability.clone()
+                },
+                None,
+                CheckpointBase::fresh(),
+                RecoveryTally::default(),
+            )
+        });
         ValidationService {
             index: ShardedIndex::new(empty),
             catalog: RwLock::new(RuleCatalog::new()),
             baselines: RwLock::new(HashMap::new()),
             classifier: Mutex::new(RuleSet::new()),
-            durable: None,
+            durable,
             telemetry: ServiceTelemetry::new(config.telemetry.clone()),
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(()), Condvar::new()),
@@ -386,85 +391,52 @@ impl ValidationService {
         }
     }
 
-    /// Open a service, reloading any persisted index and catalog from the
-    /// configured data directory. Missing files mean a cold start — not an
-    /// error. A v3 (single-shard) index image is resharded to the
-    /// configured shard count on install.
+    /// Open a service on the configured data directory; without one this
+    /// is [`ValidationService::new`]. Missing files mean a cold start —
+    /// not an error.
     ///
-    /// In durable mode this is crash **recovery**: the newest checkpoint
-    /// manifest that verifies is loaded (corrupt shard files are
-    /// quarantined, not fatal), then the write-ahead log is replayed above
-    /// the checkpoint's watermark — O(records since the last checkpoint),
-    /// never a corpus rebuild — so the recovered state equals a consistent
-    /// prefix of the acknowledged operation history.
+    /// Opening is crash **recovery**: the newest checkpoint manifest that
+    /// verifies is loaded (corrupt shard files are quarantined, not
+    /// fatal) — or, before the first checkpoint, the seed image
+    /// ([`INDEX_FILE`], plus [`CATALOG_FILE`] if present), resharded to
+    /// the configured shard count — then any write-ahead log is replayed
+    /// above the checkpoint's watermark: O(records since the last
+    /// checkpoint), never a corpus rebuild. The recovered state equals a
+    /// consistent prefix of the acknowledged operation history. With the
+    /// WAL off, opening only reads the directory.
     pub fn open(config: ServiceConfig) -> Result<ValidationService, ServiceError> {
-        if config.durability.enabled && config.data_dir.is_some() {
-            return ValidationService::open_durable(config);
-        }
-        let service = ValidationService::new(config);
-        if let Some(dir) = service.config.data_dir.clone() {
-            let storage = Arc::clone(&service.config.storage);
-            let index_path = dir.join(INDEX_FILE);
-            if storage.exists(&index_path) {
-                let loaded = PatternIndex::load_with(storage.as_ref(), &index_path)?;
-                service
-                    .columns_ingested
-                    .store(loaded.num_columns, Ordering::Relaxed);
-                service.index.install(loaded);
-            }
-            let catalog_path = dir.join(CATALOG_FILE);
-            if storage.exists(&catalog_path) {
-                let loaded = RuleCatalog::load_with(storage.as_ref(), &catalog_path)?;
-                {
-                    let (_classifier_rank, mut classifier) = (
-                        lockorder::rank_guard(lockorder::CLASSIFIER),
-                        service.classifier.lock().expect("classifier poisoned"),
-                    );
-                    for entry in loaded.iter() {
-                        classifier.insert(&entry.name, entry.rule.clone());
-                    }
-                }
-                *service.catalog.write().expect("catalog lock poisoned") = loaded;
-            }
-        }
-        Ok(service)
-    }
-
-    /// The durable-mode open path: recover checkpoint + WAL into a fresh
-    /// service and arm the durability state.
-    fn open_durable(config: ServiceConfig) -> Result<ValidationService, ServiceError> {
-        let dir = config.data_dir.clone().expect("checked by open");
-        let storage = Arc::clone(&config.storage);
-        let durability = config.durability.clone();
         let mut service = ValidationService::new(config);
+        let Some(dir) = service.config.data_dir.clone() else {
+            return Ok(service);
+        };
+        let storage = Arc::clone(&service.config.storage);
+        let durability = service.config.durability.clone();
 
         let rec = durable::recover(&storage, &dir, &durability)?;
-        let image_from_checkpoint = rec.image_from_checkpoint;
         if let Some(image) = rec.image {
             service.index.install(image);
         }
         // The just-installed epoch is the next checkpoint's reuse base —
-        // but only if it still encodes the manifest's shard files (install
-        // reshards images whose shard count differs from the config's,
-        // which invalidates the per-shard file mapping).
-        let base_index = if image_from_checkpoint {
-            let snap = service.index.snapshot();
-            (snap.shard_count() == rec.base_files.len()).then_some(snap)
-        } else {
-            None
-        };
+        // but only if it still encodes the manifest's shard files (a seed
+        // image has none, and install reshards images whose shard count
+        // differs from the config's, which invalidates the mapping).
+        let mut base = rec.base;
+        let snap = service.index.snapshot();
+        if snap.shard_count() == base.files.len() {
+            base.index = Some(snap);
+        }
 
         // Replay: apply each recovered record exactly as the live op
         // would. Deltas that no longer merge (τ changed between runs)
         // are skipped and counted, matching what the live op would have
         // been refused.
         let mut catalog = rec.catalog;
-        let mut skipped = rec.skipped_records;
+        let mut tally = rec.tally;
         for record in rec.records {
             match record {
                 WalRecord::Delta(delta) => {
                     if service.index.merge_delta(delta).is_err() {
-                        skipped += 1;
+                        tally.skipped_records += 1;
                     }
                 }
                 WalRecord::Infer(entry) => {
@@ -489,28 +461,9 @@ impl ValidationService {
         }
         *service.catalog.write().expect("catalog lock poisoned") = catalog;
 
-        service.durable = Some(DurableState {
-            storage,
-            dir,
-            cfg: durability,
-            wal: Mutex::new(rec.wal),
-            in_flight: Mutex::new(BTreeSet::new()),
-            in_flight_cv: Condvar::new(),
-            ckpt: Mutex::new(CheckpointBase {
-                generation: rec.base_generation,
-                index: base_index,
-                files: rec.base_files,
-                retained: rec.retained,
-            }),
-            records_since_checkpoint: AtomicU64::new(rec.replayed_records),
-            replayed_records: AtomicU64::new(rec.replayed_records),
-            truncated_tail_bytes: AtomicU64::new(rec.truncated_tail_bytes),
-            quarantined_files: AtomicU64::new(rec.quarantined_files),
-            skipped_records: AtomicU64::new(skipped),
-            checkpoints_completed: AtomicU64::new(0),
-            checkpoint_failures: AtomicU64::new(0),
-            last_generation: AtomicU64::new(rec.base_generation),
-        });
+        service.durable = Some(DurableState::new(
+            storage, dir, durability, rec.wal, base, tally,
+        ));
         Ok(service)
     }
 
@@ -544,29 +497,27 @@ impl ValidationService {
         let refs: Vec<&Column> = columns.iter().collect();
         // Expensive profiling happens with no lock held.
         let delta = IndexDelta::profile(&refs, &self.config.index);
-        // Durable mode logs the delta before merging it: the WAL append is
-        // the durability point, the merge itself stays outside the WAL
-        // lock (deltas commute, so checkpoint's in-flight drain is all the
-        // ordering the merge needs).
-        let logged = match &self.durable {
-            Some(d) => {
-                let payload = durable::encode_delta(&delta);
-                let lsn = {
-                    let (_wal_rank, mut wal) = (
-                        lockorder::rank_guard(lockorder::WAL),
-                        d.wal.lock().expect("wal lock poisoned"),
-                    );
-                    let lsn = wal.append(&payload)?;
-                    d.in_flight
-                        .lock()
-                        .expect("in-flight lock poisoned")
-                        .insert(lsn);
-                    lsn
-                };
-                Some((d, lsn))
+        // With the WAL on the delta is logged before it merges: the WAL
+        // append is the durability point, the merge itself stays outside
+        // the WAL lock (deltas commute, so checkpoint's in-flight drain is
+        // all the ordering the merge needs). With it off there is nothing
+        // to order: a checkpoint snapshots whole epochs.
+        let mut logged = None;
+        if let Some(d) = self.logging() {
+            let payload = durable::encode_delta(&delta);
+            let (_wal_rank, mut wal) = (
+                lockorder::rank_guard(lockorder::WAL),
+                d.wal.lock().expect("wal lock poisoned"),
+            );
+            if let Some(wal) = wal.as_mut() {
+                let lsn = wal.append(&payload)?;
+                d.in_flight
+                    .lock()
+                    .expect("in-flight lock poisoned")
+                    .insert(lsn);
+                logged = Some((d, lsn));
             }
-            None => None,
-        };
+        }
         let merged = self.index.merge_delta(delta);
         if let Some((d, lsn)) = logged {
             let (_in_flight_rank, mut in_flight) = (
@@ -634,16 +585,18 @@ impl ValidationService {
                     .unwrap_or(0)
             }),
         };
-        // Durable mode: log-then-apply under the WAL lock, so a checkpoint
-        // can never truncate a logged record whose catalog effect is not
-        // yet in the snapshot it wrote.
+        // Log-then-apply under the WAL lock, so a checkpoint can never
+        // truncate a logged record whose catalog effect is not yet in the
+        // snapshot it wrote (with the WAL off the lock still orders the
+        // change against checkpoints).
         if let Some(d) = &self.durable {
-            let payload = durable::encode_infer(&catalog::entry_line(&entry));
             let (_wal_rank, mut wal) = (
                 lockorder::rank_guard(lockorder::WAL),
                 d.wal.lock().expect("wal lock poisoned"),
             );
-            wal.append(&payload)?;
+            if let Some(wal) = wal.as_mut() {
+                wal.append(&durable::encode_infer(&catalog::entry_line(&entry)))?;
+            }
             self.catalog
                 .write()
                 .expect("catalog lock poisoned")
@@ -697,7 +650,9 @@ impl ValidationService {
                 self.catalog.write().expect("catalog lock poisoned"),
             );
             if catalog.get(name).is_some() {
-                wal.append(&durable::encode_delete(name))?;
+                if let Some(wal) = wal.as_mut() {
+                    wal.append(&durable::encode_delete(name))?;
+                }
                 catalog.remove(name);
                 true
             } else {
@@ -1020,100 +975,34 @@ impl ValidationService {
             .generation()
     }
 
-    /// Validate a batch of columns concurrently across the worker pool.
+    /// Validate a batch of columns in input order on the calling thread,
+    /// reusing one session scratch across items so the compiled
+    /// matcher's stack and memo reach steady state once per batch.
     ///
-    /// Results come back in input order, and each equals exactly what the
-    /// sequential [`ValidationService::validate`] would produce: items are
-    /// independent and rules are immutable snapshots, so fan-out changes
-    /// only wall-clock time, never reports.
+    /// Each result equals exactly what [`ValidationService::validate`]
+    /// would produce for its item. Parallelism comes from the serve
+    /// loop's worker pool running requests side by side, not from
+    /// fanning one request out.
     pub fn validate_batch(
         &self,
         items: &[BatchItem<'_>],
     ) -> Vec<Result<ValidationReport, ServiceError>> {
-        let workers = if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-        .min(items.len().max(1));
-
-        if workers <= 1 {
-            let mut scratch = CheckScratch::new();
-            return items
-                .iter()
-                .map(|item| self.validate_with_scratch(item.rule, &item.values, &mut scratch))
-                .collect();
-        }
-
-        // Dynamic work-stealing over an atomic cursor: workers drain items
-        // at their own pace, then results are restitched in input order.
-        // Each worker owns one session scratch for its whole run — the
-        // compiled matcher's stack and memo grow to steady state once per
-        // worker instead of once per value.
-        let cursor = AtomicU64::new(0);
-        let mut indexed: Vec<(usize, Result<ValidationReport, ServiceError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            let mut scratch = CheckScratch::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                                if i >= items.len() {
-                                    break;
-                                }
-                                local.push((
-                                    i,
-                                    self.validate_with_scratch(
-                                        items[i].rule,
-                                        &items[i].values,
-                                        &mut scratch,
-                                    ),
-                                ));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("validation worker panicked"))
-                    .collect()
-            });
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        let mut scratch = CheckScratch::new();
+        items
+            .iter()
+            .map(|item| self.validate_with_scratch(item.rule, &item.values, &mut scratch))
+            .collect()
     }
 
-    /// Persist the live index and catalog to the data directory. In
-    /// durable mode this writes an incremental checkpoint (only shards
-    /// touched since the previous checkpoint are rewritten) and truncates
-    /// the WAL behind it; otherwise it writes the full `index.avix` /
-    /// `rules.avcat` pair atomically.
+    /// Persist the live index and catalog to the data directory as an
+    /// incremental checkpoint: only shards touched since the previous
+    /// checkpoint are rewritten, one manifest commit publishes index and
+    /// catalog together, and the WAL (when on) is truncated behind it.
     pub fn persist(&self) -> Result<(), ServiceError> {
-        if let Some(d) = &self.durable {
-            self.checkpoint_durable(d).inspect_err(|_| {
-                d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-            })?;
-            return Ok(());
-        }
-        let dir = self
-            .config
-            .data_dir
-            .as_ref()
-            .ok_or(ServiceError::NoDataDir)?;
-        let storage = Arc::clone(&self.config.storage);
-        storage
-            .create_dir_all(dir)
-            .map_err(|e| ServiceError::Catalog(CatalogError::Io(e)))?;
-        self.snapshot()
-            .save_with(storage.as_ref(), dir.join(INDEX_FILE))?;
-        self.catalog
-            .read()
-            .expect("catalog lock poisoned")
-            .save_with(storage.as_ref(), dir.join(CATALOG_FILE))?;
+        let d = self.durable.as_ref().ok_or(ServiceError::NoDataDir)?;
+        self.checkpoint(d).inspect_err(|_| {
+            d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+        })?;
         Ok(())
     }
 
@@ -1123,11 +1012,14 @@ impl ValidationService {
     /// snapshot is what makes the watermark exact — no op can acquire an
     /// LSN until the snapshot is taken, and every logged-but-unmerged
     /// delta is drained first.
-    fn checkpoint_durable(&self, d: &DurableState) -> Result<u64, ServiceError> {
+    fn checkpoint(&self, d: &DurableState) -> Result<u64, ServiceError> {
         let (_ckpt_rank, mut base) = (
             lockorder::rank_guard(lockorder::CKPT),
             d.ckpt.lock().expect("checkpoint lock poisoned"),
         );
+        if base.fresh {
+            durable::adopt(d, &mut base)?;
+        }
         let (watermark, index, catalog_text) = {
             let (_wal_rank, mut wal) = (
                 lockorder::rank_guard(lockorder::WAL),
@@ -1144,10 +1036,17 @@ impl ValidationService {
                     .expect("in-flight lock poisoned");
             }
             drop(in_flight);
-            let watermark = wal.next_lsn().saturating_sub(1);
-            // Rotate so the segment holding pre-watermark records is
-            // closed and can be removed once the manifest commits.
-            wal.rotate()?;
+            let watermark = match wal.as_mut() {
+                Some(wal) => {
+                    let watermark = wal.next_lsn().saturating_sub(1);
+                    // Rotate so the segment holding pre-watermark records
+                    // is closed and can be removed once the manifest
+                    // commits.
+                    wal.rotate()?;
+                    watermark
+                }
+                None => base.last_lsn,
+            };
             let catalog_text = self
                 .catalog
                 .read()
@@ -1162,28 +1061,28 @@ impl ValidationService {
         Ok(generation)
     }
 
-    /// Count a durable record and trigger an automatic checkpoint when the
-    /// configured threshold is crossed. Checkpoint failures here are
-    /// counted, not surfaced — the op that tripped the threshold already
-    /// succeeded and its record is safely in the WAL.
+    /// With the WAL on, count a logged record and trigger an automatic
+    /// checkpoint when the configured threshold is crossed. Checkpoint
+    /// failures here are counted, not surfaced — the op that tripped the
+    /// threshold already succeeded and its record is safely in the WAL.
     fn note_durable_record(&self) {
-        let Some(d) = &self.durable else { return };
+        let Some(d) = self.logging() else { return };
         let since = d.records_since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
         let every = d.cfg.checkpoint_every_records;
-        if every > 0 && since >= every && self.checkpoint_durable(d).is_err() {
+        if every > 0 && since >= every && self.checkpoint(d).is_err() {
             d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// The persistence state, when the WAL is on.
+    fn logging(&self) -> Option<&DurableState> {
+        self.durable.as_ref().filter(|d| d.cfg.enabled)
     }
 
     /// Durability counters (checkpoint generation, WAL footprint, recovery
     /// tallies), or `None` when the service runs without a WAL.
     pub fn durability(&self) -> Option<DurabilitySnapshot> {
-        self.durable.as_ref().map(|d| d.snapshot())
-    }
-
-    /// Path of the persisted index, when a data directory is configured.
-    pub fn index_path(&self) -> Option<PathBuf> {
-        self.config.data_dir.as_ref().map(|d| d.join(INDEX_FILE))
+        self.logging().map(DurableState::snapshot)
     }
 
     /// Current operation counters.

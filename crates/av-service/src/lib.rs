@@ -19,24 +19,28 @@
 //!   rebuild (`av-index`'s fixed-point accumulators make the merge
 //!   exact).
 //! * **Persistent rule catalog** — rules are inferred once (FMDV and its
-//!   fallbacks), named, serialized to `rules.avcat`, and reloaded on
+//!   fallbacks), named, written into every checkpoint, and reloaded on
 //!   restart, so a service restart never re-infers or loses a rule.
-//! * **Concurrent batch validation** — a worker pool fans a batch of
-//!   columns across threads; reports are deterministic and identical to
-//!   sequential runs.
+//! * **Batch validation** — `validate_batch` checks many columns in one
+//!   request with one reused matcher scratch; the serve loop's worker
+//!   pool runs requests side by side, and reports are identical to
+//!   sequential `validate` calls.
 //! * **One dispatch path** — the engine validates exclusively through
 //!   `dyn av_core::Validator` streaming sessions over borrowed `&str`
 //!   values, so FMDV catalog rules and session-scoped baseline rules
 //!   (`infer_baseline` op: TFDV, Grok, PWheel, …) serve identically and
 //!   can be A/B-compared live (`compare` op).
-//! * **Crash-safe durable mode** — with [`ServiceConfig::durable`],
-//!   every mutating op is CRC-framed, write-ahead logged and fsynced
-//!   before it is acknowledged; `persist` writes an **incremental
-//!   checkpoint** (only index shards touched since the last one are
-//!   rewritten) and [`ValidationService::open`] recovers checkpoint +
-//!   WAL tail in O(records since checkpoint) — a kill at any instant
-//!   loses no acknowledged op. Corrupt shard files are quarantined,
-//!   not fatal. See [`durable`] and the fault-injection matrix in
+//! * **One persistence path** — every data directory is a checkpoint
+//!   directory: `persist` writes an **incremental checkpoint** (only
+//!   index shards touched since the last one are rewritten; one manifest
+//!   commit publishes index and catalog together) and
+//!   [`ValidationService::open`] recovers the newest one, or a seed
+//!   `index.avix` before the first. [`ServiceConfig::durable`] only adds
+//!   a write-ahead log: every mutating op is CRC-framed, logged and
+//!   fsynced before it is acknowledged, and recovery replays the tail in
+//!   O(records since checkpoint) — a kill at any instant loses no
+//!   acknowledged op. Corrupt shard files are quarantined, not fatal.
+//!   See [`durable`] and the fault-injection matrices in
 //!   `tests/crash_recovery.rs`.
 //! * **JSONL protocol** — `av-serve` (in the root crate's `src/bin`)
 //!   drives all of this over stdin/stdout or TCP; see [`protocol`].

@@ -5,20 +5,21 @@
 //!
 //! Every lock in the service stack has a rank; a thread may only acquire
 //! locks in strictly ascending rank order. Ranks gap by 10 so future
-//! locks can slot in without renumbering. **The machine-readable twin of
-//! this table lives in `crates/av-guard/src/config.rs`** — the `G1`
-//! static pass and its fixtures execute against that copy; change the
-//! two together.
+//! locks can slot in without renumbering. The rank `const`s below are
+//! the one machine-readable declaration: this module's runtime tracker
+//! uses them, and av-guard's `G1` static pass builds its table by
+//! parsing them (each `const` is the guarded field's name upper-cased,
+//! and [`MULTI_FAMILIES`] marks the ranks shared by a lock family).
 //!
 //! | Rank | Lock | Where | Why this position |
 //! |------|------|-------|-------------------|
 //! | 10 | `ckpt` | `DurableState` | Serializes whole checkpoints; taken before the WAL fence so two checkpoints can never interleave their shard writes. |
-//! | 20 | `wal` | `DurableState` | The WAL fence: the outermost lock of every durable mutating path. Holding it across the snapshot is what makes the checkpoint watermark exact. |
+//! | 20 | `wal` | `DurableState` | The WAL fence (held even with the WAL off, to order catalog ops against checkpoints): the outermost lock of every mutating path that takes it. Holding it across the snapshot is what makes the checkpoint watermark exact. |
 //! | 30 | `in_flight` | `DurableState` | Logged-but-unmerged LSNs, drained under the WAL fence before a watermark is declared. |
 //! | 40 | `merge_locks` | `av-index::ShardedIndex` | Per-shard merge mutexes, taken in ascending shard order (a *multi* family: same-rank re-acquisition is the design). |
 //! | 50 | `epoch` | `av-index::ShardedIndex` | The published index epoch, swapped while merge locks are held so readers never observe a half-merged epoch. |
 //! | 60 | `baselines` | `ValidationService` | Session-scoped baseline rules. |
-//! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence on durable paths. |
+//! | 70 | `catalog` | `ValidationService` | The persistent rule catalog; written under the WAL fence when the service has a data directory. |
 //! | 80 | `classifier` | `ValidationService` | The catalog automaton — always innermost: it is rebuilt/patched *from* catalog state and must never wait on anything while held. |
 //!
 //! # The runtime tracker
@@ -66,6 +67,10 @@ pub(crate) const CATALOG: u32 = 70;
 /// Rank of `ValidationService.classifier` (always innermost).
 pub(crate) const CLASSIFIER: u32 = 80;
 
+/// Ranks held by a *family* of locks taken in ascending index order
+/// (same-rank re-acquisition is the design); see [`rank_guard_multi`].
+pub(crate) const MULTI_FAMILIES: &[u32] = &[MERGE_LOCKS];
+
 #[cfg(debug_assertions)]
 thread_local! {
     /// Ranks currently held by this thread, in acquisition order.
@@ -93,6 +98,10 @@ pub(crate) fn rank_guard_multi(rank: u32) -> RankGuard {
 
 #[cfg(debug_assertions)]
 fn push(rank: u32, multi: bool) -> RankGuard {
+    debug_assert!(
+        !multi || MULTI_FAMILIES.contains(&rank),
+        "rank {rank} is not a declared multi family"
+    );
     // Assert outside the RefCell borrow: a failing assert unwinds
     // through live RankGuards whose Drop needs the cell.
     let max = HELD.with(|h| h.borrow().iter().max().copied());

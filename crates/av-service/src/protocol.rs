@@ -90,7 +90,7 @@
 //!
 //! ## Durability state
 //!
-//! When the service runs in durable mode (`av-serve --durable`, or
+//! When the write-ahead log is on (`av-serve --durable`, or
 //! [`crate::ServiceConfig::durable`]), `persist`, `stats` and `metrics`
 //! responses carry a `"durability"` object. For `persist` it describes
 //! the incremental checkpoint that was just written; for the read ops it

@@ -2,7 +2,8 @@
 //!
 //! Speaks the JSONL protocol (one request per line, one response per
 //! line) over stdin/stdout or TCP, against a persistent service state
-//! directory holding the pattern index and the rule catalog.
+//! directory of checkpoints holding the pattern index and the rule
+//! catalog.
 //!
 //! ```sh
 //! # pipe mode: one session over stdin/stdout
@@ -16,13 +17,15 @@
 //! av-serve --data state/ --tcp 127.0.0.1:7171
 //! ```
 //!
-//! On startup the service reloads `state/index.avix` and
-//! `state/rules.avcat` when present; `{"op":"persist"}` writes them back.
+//! On startup the service recovers the newest checkpoint in `state/`;
+//! `{"op":"persist"}` writes an incremental one. A directory with no
+//! checkpoint yet starts from its seed image, `state/index.avix` (as
+//! written by `auto-validate index`) plus `state/rules.avcat` when
+//! present; the service never writes those files.
 //!
-//! With `--durable`, every mutating op is write-ahead logged before it is
-//! acknowledged and `persist` writes an incremental checkpoint; on start
-//! the service recovers from the newest checkpoint plus the WAL tail, so
-//! a kill at any moment loses no acknowledged op.
+//! `--durable` adds a write-ahead log: every mutating op is logged before
+//! it is acknowledged and startup replays the WAL tail after the
+//! checkpoint, so a kill at any moment loses no acknowledged op.
 
 use av_service::{ServiceConfig, ValidationService};
 use std::process::ExitCode;
@@ -35,9 +38,11 @@ fn usage() -> ExitCode {
   av-serve [--data DIR] [--workers N] --tcp ADDR  serve TCP clients (JSONL)
 
 options:
-  --data DIR     state directory (index.avix + rules.avcat); reloaded on
-                 start when present, written by the \"persist\" op
-  --workers N    worker threads for validate_batch (default: all cores)
+  --data DIR     state directory of checkpoints, recovered on start and
+                 written by the \"persist\" op; before the first
+                 checkpoint, a seed index.avix (+ rules.avcat) is loaded
+  --workers N    serve-loop worker threads (default: all cores, at
+                 least 2)
   --tcp ADDR     listen address, e.g. 127.0.0.1:7171 (port 0 picks a free
                  port and prints it)
   --max-request-bytes N
@@ -54,10 +59,10 @@ options:
                  drop a TCP connection whose peer accepts no response
                  bytes for N ms while output is pending (default 10000;
                  0 = never)
-  --durable      crash-safe mode (requires --data): mutating ops are
-                 write-ahead logged and fsynced before they are
-                 acknowledged; \"persist\" writes an incremental
-                 checkpoint; startup recovers checkpoint + WAL tail
+  --durable      add a write-ahead log (requires --data): mutating ops
+                 are logged and fsynced before they are acknowledged,
+                 checkpoints also run automatically, and startup
+                 replays the WAL tail after the checkpoint
   --wal-segment-bytes N
                  rotate WAL segments at N bytes (default 8 MiB)
   --checkpoint-every N

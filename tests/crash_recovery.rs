@@ -5,6 +5,8 @@
 //! reopening the data directory recovers a state that is bit-identical
 //! to the state after some *consistent prefix* of the operation history,
 //! and that prefix covers every operation the service acknowledged.
+//! With the WAL off the same checkpoints are the only record, so a crash
+//! recovers exactly the last completed `persist` or the one in flight.
 //!
 //! The harness runs a fixed op script against `MemStorage` once without
 //! faults to count the storage operations it performs, then replays the
@@ -15,7 +17,11 @@
 
 use av_corpus::{generate_lake, Column, LakeProfile};
 use av_durable::{FaultPlan, MemStorage, Storage};
-use av_service::{owned_column, RuleCatalog, ServiceConfig, ServiceError, ValidationService};
+use av_index::PatternIndex;
+use av_service::{
+    owned_column, RuleCatalog, ServiceConfig, ServiceError, ValidationService, CATALOG_FILE,
+    INDEX_FILE,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -88,6 +94,14 @@ fn durable_config(mem: &MemStorage) -> ServiceConfig {
     config.rule_clock_unix = Some(CLOCK);
     config.durability.checkpoint_every_records = 3;
     config.durability.wal_segment_bytes = 4096;
+    config
+}
+
+/// The same directory with the WAL off: only `persist` writes.
+fn plain_config(mem: &MemStorage) -> ServiceConfig {
+    let mut config = ServiceConfig::with_data_dir(PathBuf::from("/data"));
+    config.storage = Arc::new(mem.clone());
+    config.rule_clock_unix = Some(CLOCK);
     config
 }
 
@@ -222,37 +236,200 @@ fn corrupt_shard_is_quarantined_not_fatal() {
     );
 }
 
+/// A seed image — an offline-built `index.avix` plus a `rules.avcat` —
+/// opens in both WAL modes, and the first checkpoint moves it into the
+/// manifest layout without rewriting the seed files.
 #[test]
 fn legacy_plain_files_upgrade_into_durable_mode() {
-    let dir = std::env::temp_dir().join(format!("av_crash_legacy_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let reference = ValidationService::new(ServiceConfig {
+        rule_clock_unix: Some(CLOCK),
+        ..ServiceConfig::default()
+    });
+    reference.ingest(&lake(85, 25)).unwrap();
+    reference
+        .infer_rule("legacy/date", &dates(6), None)
+        .unwrap();
+    let want = state_of(&reference);
+    let seed_index = PatternIndex::from_bytes(&want.0).unwrap();
 
-    // A pre-durability service persists plain index.avix + rules.avcat.
-    let mut config = ServiceConfig::with_data_dir(&dir);
-    config.rule_clock_unix = Some(CLOCK);
-    let legacy = ValidationService::new(config);
-    legacy.ingest(&lake(85, 25)).unwrap();
-    legacy.infer_rule("legacy/date", &dates(6), None).unwrap();
-    legacy.persist().unwrap();
-    let want = state_of(&legacy);
-    drop(legacy);
+    for durable in [false, true] {
+        let dir =
+            std::env::temp_dir().join(format!("av_crash_seed_{}_{durable}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        seed_index.save(dir.join(INDEX_FILE)).unwrap();
+        std::fs::write(dir.join(CATALOG_FILE), &want.1).unwrap();
+        let config = || {
+            let mut config = if durable {
+                ServiceConfig::durable(&dir)
+            } else {
+                ServiceConfig::with_data_dir(&dir)
+            };
+            config.rule_clock_unix = Some(CLOCK);
+            config
+        };
 
-    // Reopening the same directory in durable mode adopts the legacy
-    // files, and the first checkpoint moves it to manifest-based layout.
-    let mut config = ServiceConfig::durable(&dir);
-    config.rule_clock_unix = Some(CLOCK);
-    let durable = ValidationService::open(config).unwrap();
-    assert_eq!(state_of(&durable), want);
-    durable.persist().unwrap();
-    assert!(durable.durability().unwrap().checkpoint_generation >= 1);
-    drop(durable);
+        let seeded = ValidationService::open(config()).unwrap();
+        assert_eq!(state_of(&seeded), want, "durable={durable}");
+        seeded.persist().unwrap();
+        drop(seeded);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().any(|n| n.starts_with("manifest-")),
+            "durable={durable}: persist must write a manifest, got {names:?}"
+        );
+        assert_eq!(
+            names.iter().any(|n| n == "wal"),
+            durable,
+            "durable={durable}: only the WAL-on mode creates a WAL, got {names:?}"
+        );
+        assert_eq!(
+            std::fs::read(dir.join(INDEX_FILE)).unwrap(),
+            want.0,
+            "durable={durable}: persist must not rewrite the seed image"
+        );
 
-    // And the durable layout recovers on a plain OS-storage reopen too.
-    let mut config = ServiceConfig::durable(&dir);
-    config.rule_clock_unix = Some(CLOCK);
-    let again = ValidationService::open(config).unwrap();
+        // The checkpoint, not the seed, is what the next open reads.
+        std::fs::write(dir.join(INDEX_FILE), b"AVIX").unwrap();
+        let again = ValidationService::open(config()).unwrap();
+        assert_eq!(state_of(&again), want, "durable={durable}");
+        drop(again);
+
+        // Before the first checkpoint a truncated seed is a clean
+        // startup error, not a panic or an empty service.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(INDEX_FILE), &want.0[..want.0.len() / 2]).unwrap();
+        assert!(
+            ValidationService::open(config()).is_err(),
+            "durable={durable}: a truncated seed must refuse to open"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// With the WAL off, checkpoints are the only durable record: a crash at
+/// any storage op of a scripted workload recovers exactly the state of
+/// the last completed `persist` or of the one in flight — never a mix of
+/// index and catalog from two different persists.
+#[test]
+fn wal_off_crash_recovers_the_last_or_in_flight_persist() {
+    let references = reference_states();
+
+    let mem = MemStorage::new();
+    let service = ValidationService::open(plain_config(&mem)).unwrap();
+    for op in script() {
+        apply(&service, &op).unwrap();
+    }
+    assert!(service.durability().is_none(), "the WAL is off");
+    drop(service);
+    let total_ops = mem.ops_executed();
+    assert!(total_ops > 10, "persists must do storage ops: {total_ops}");
+    assert!(
+        !mem.paths().iter().any(|p| p.starts_with("/data/wal")),
+        "the WAL-off run must not create a WAL: {:?}",
+        mem.paths()
+    );
+    let reopened = ValidationService::open(plain_config(&mem)).unwrap();
+    assert_eq!(state_of(&reopened), *references.last().unwrap());
+    drop(reopened);
+
+    for crash_op in 0..total_ops {
+        let mem = MemStorage::with_plan(FaultPlan::crash_at(crash_op));
+        let service = ValidationService::open(plain_config(&mem)).unwrap();
+        // `references[i]` is the state a persist at script index `i`
+        // writes (persist itself changes nothing).
+        let mut completed = 0;
+        let mut in_flight = None;
+        for (i, op) in script().iter().enumerate() {
+            if apply(&service, op).is_err() {
+                in_flight = Some(i);
+                break;
+            }
+            if matches!(op, Op::Persist) {
+                completed = i;
+            }
+        }
+        assert!(mem.crashed(), "plan at op {crash_op} never fired");
+        let in_flight = in_flight.expect("only a persist touches storage");
+        assert!(matches!(script()[in_flight], Op::Persist));
+
+        let recovered = ValidationService::open(plain_config(&mem.crashed_view()))
+            .unwrap_or_else(|e| panic!("crash at op {crash_op}: recovery refused to start: {e}"));
+        let recovered = state_of(&recovered);
+        assert!(
+            recovered == references[completed] || recovered == references[in_flight],
+            "crash at op {crash_op}: recovered state is neither the last completed \
+             persist nor the one in flight"
+        );
+    }
+}
+
+/// Switching the WAL off and on over one directory neither loses nor
+/// double-applies an op: a WAL-off open replays the WAL tail a WAL-on run
+/// left, and the checkpoint it then writes covers that tail.
+#[test]
+fn wal_tail_survives_a_wal_off_run_and_is_never_replayed_twice() {
+    let mem = MemStorage::new();
+    let mut wal_on = durable_config(&mem);
+    wal_on.durability.checkpoint_every_records = 0;
+    let service = ValidationService::open(wal_on.clone()).unwrap();
+    // Ingest, infer, ingest, persist, then infer, ingest, delete: three
+    // acknowledged ops after the only checkpoint.
+    for op in script().iter().take(7) {
+        apply(&service, op).unwrap();
+    }
+    let live = service.durability().unwrap();
+    assert_eq!(live.checkpoints_completed, 1, "{live:?}");
+    assert_eq!(live.records_since_checkpoint, 3, "{live:?}");
+    let want = state_of(&service);
+    assert_eq!(want, reference_states()[7]);
+    drop(service);
+
+    let wal_off = ValidationService::open(plain_config(&mem)).unwrap();
+    assert_eq!(
+        state_of(&wal_off),
+        want,
+        "a WAL-off open must replay the tail"
+    );
+    assert!(wal_off.durability().is_none());
+    wal_off.persist().unwrap();
+    drop(wal_off);
+
+    let again = ValidationService::open(wal_on).unwrap();
     assert_eq!(state_of(&again), want);
-    std::fs::remove_dir_all(&dir).ok();
+    let d = again.durability().unwrap();
+    assert_eq!(
+        d.replayed_records, 0,
+        "the checkpoint covers the tail: {d:?}"
+    );
+    assert_eq!(d.checkpoint_generation, 2, "{d:?}");
+}
+
+/// Opening a directory with the WAL off only reads it.
+#[test]
+fn wal_off_open_leaves_the_directory_unchanged() {
+    let mem = MemStorage::new();
+    drop(ValidationService::open(plain_config(&mem)).unwrap());
+    assert!(mem.paths().is_empty(), "{:?}", mem.paths());
+    assert_eq!(mem.ops_executed(), 0);
+
+    let service = ValidationService::open(plain_config(&mem)).unwrap();
+    service.ingest(&lake(85, 25)).unwrap();
+    service.infer_rule("q/date", &dates(4), None).unwrap();
+    service.persist().unwrap();
+    drop(service);
+    let before = mem.paths();
+    let ops = mem.ops_executed();
+
+    let reopened = ValidationService::open(plain_config(&mem)).unwrap();
+    assert!(reopened.rule("q/date").is_ok());
+    drop(reopened);
+    assert_eq!(mem.paths(), before);
+    assert_eq!(mem.ops_executed(), ops, "a WAL-off open must not write");
 }
 
 #[test]

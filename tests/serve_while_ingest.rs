@@ -12,7 +12,8 @@
 //! * **Validation stability** — every validation report produced during
 //!   the storm equals the sequential reference (rules are immutable
 //!   catalog entries, so the swapping index must never change outcomes).
-//! * **Durability** — the bytes persisted after the storm equal a
+//! * **Durability** — the index a reopened service recovers from the
+//!   checkpoint written after the storm equals, byte for byte, a
 //!   from-scratch sequential build over all ingested columns.
 
 use auto_validate::prelude::*;
@@ -213,15 +214,16 @@ fn concurrent_ingest_validate_and_tcp_see_consistent_epochs() {
     server.join().unwrap().unwrap();
     assert_eq!(service.stats().connection_errors, 0);
 
-    // Durability: the bytes persisted after the storm equal a
-    // from-scratch sequential build over everything ingested.
+    // Durability: the index recovered from the checkpoint written after
+    // the storm equals a from-scratch sequential build over everything
+    // ingested.
     let final_columns = service.snapshot().num_columns;
     let full_bytes = expected
         .get(&final_columns)
         .expect("final state is the full prefix");
     service.persist().unwrap();
-    let persisted = std::fs::read(dir.join(av_service::INDEX_FILE)).unwrap();
-    assert_eq!(&persisted[..], &full_bytes[..]);
+    let reopened = ValidationService::open(service.config().clone()).unwrap();
+    assert_eq!(&reopened.snapshot().to_bytes()[..], &full_bytes[..]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
